@@ -396,6 +396,68 @@ BENCHMARK(BM_SessionBatchSweep)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * Streaming throughput: frames/s of InferenceSession::step() on one
+ * stream, the path live ASR takes (a one-lane call of the batched
+ * datapath). range(0): 0-2 the backends of BM_SessionBatchSweep on
+ * the acceptance geometry, so each reads next to its
+ * BM_SessionBatchSweep/<backend>/1; 3 the live-stream GRU-1024 with
+ * block-8 circulant weights on the CirculantFFT backend.
+ */
+void
+BM_SessionStep(benchmark::State &state)
+{
+    nn::ModelSpec spec = servingSpec();
+    runtime::CompileOptions opts;
+    const char *label = "";
+    switch (state.range(0)) {
+      case 0:
+        opts.backend = runtime::BackendKind::CirculantFft;
+        label = "circulant-fft";
+        break;
+      case 1:
+        opts.backend = runtime::BackendKind::Dense;
+        label = "dense";
+        break;
+      case 2:
+        opts.backend = runtime::BackendKind::FixedPoint;
+        label = "fixed-point/int16";
+        break;
+      case 3:
+        spec.type = nn::ModelType::Gru;
+        spec.inputDim = 40;
+        spec.layerSizes = {1024};
+        spec.blockSizes = {8};
+        opts.backend = runtime::BackendKind::CirculantFft;
+        label = "gru1024-block8/circulant-fft";
+        break;
+    }
+    nn::StackedRnn model = nn::buildModel(spec);
+    Rng rng(18);
+    model.initXavier(rng);
+    runtime::CompiledModel compiled = runtime::compile(model, opts);
+    runtime::InferenceSession session = compiled.createSession();
+    runtime::StreamState stream = session.newStream();
+
+    const std::size_t frames = 4;
+    const nn::Sequence utt =
+        servingBatch(1, frames, spec.inputDim).front();
+    for (auto _ : state) {
+        stream.reset();
+        for (const auto &frame : utt)
+            benchmark::DoNotOptimize(session.step(stream, frame));
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(frames));
+    state.SetLabel(label);
+}
+BENCHMARK(BM_SessionStep)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * SIMD dispatch toggle on the int16 fixed-point matvec (the paper's
  * deployed kernel). range(0): n; range(1): block size (0 = dense);
  * range(2): 0 forces the scalar oracle, 1 the best detected level.

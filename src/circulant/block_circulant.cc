@@ -27,24 +27,31 @@ accumulatePlainProduct(fft::CVector &acc, const Complex *w,
         fft::OpCount::addEltwiseMults(2 + 4 * (acc.size() - 2));
 }
 
-/**
- * Lane-contiguous form of accumulatePlainProduct: acc and x hold
- * [lane][bin] runs, w is one generator spectrum shared by every lane.
- * Per lane the arithmetic and order match the scalar form exactly.
- */
-void
-accumulatePlainProductLanes(Complex *acc, const Complex *w,
-                            const Complex *x, std::size_t lanes,
-                            std::size_t bins)
+// The batched spectra cores below look their SIMD complex MAC core
+// up once per call and tally its products once per call: per block
+// the core runs a handful of bins, so a per-block dispatch would cost
+// as much as the arithmetic. std::complex<Real> is layout-compatible
+// with Real[2]; every core level runs the scalar per-bin arithmetic.
+
+Real *
+reals(Complex *z)
 {
-    // std::complex<Real> is layout-compatible with Real[2]; the SIMD
-    // core runs the scalar per-bin arithmetic at every level.
-    simd::plainMacLanesFn()(reinterpret_cast<Real *>(acc),
-                            reinterpret_cast<const Real *>(w),
-                            reinterpret_cast<const Real *>(x), lanes,
-                            bins);
+    return reinterpret_cast<Real *>(z);
+}
+
+const Real *
+reals(const Complex *z)
+{
+    return reinterpret_cast<const Real *>(z);
+}
+
+/** Real mults of @p macs packed-bin complex MACs over @p bins bins
+ *  (bins 0 and bins-1 real, the rest complex). */
+void
+countSpectraMacs(std::size_t macs, std::size_t bins)
+{
     if (fft::OpCount::enabled())
-        fft::OpCount::addEltwiseMults(lanes * (2 + 4 * (bins - 2)));
+        fft::OpCount::addEltwiseMults(macs * (2 + 4 * (bins - 2)));
 }
 
 } // namespace
@@ -271,9 +278,11 @@ BlockCirculantMatrix::matvecAccFromSpectraBatch(Matrix &y,
                 ws.laneSpecBins == bins,
                 "matvecAccFromSpectraBatch: lane spectra were built "
                 "for a different geometry");
+    ernn_assert(bins >= 2, "matvecAccFromSpectraBatch: too few bins");
     ensureSpectra();
 
     ws.laneAcc.resize(lanes * bins);
+    const simd::CplxMacLanesFn mac = simd::conjMacLanesFn();
 
     for (std::size_t i = 0; i < blockRows_; ++i) {
         std::fill(ws.laneAcc.begin(), ws.laneAcc.end(), Complex(0, 0));
@@ -283,9 +292,9 @@ BlockCirculantMatrix::matvecAccFromSpectraBatch(Matrix &y,
             // lane-contiguous spectra of segment j).
             const Complex *w =
                 spectra_.data() + (i * blockCols_ + j) * bins;
-            fft::accumulateConjProductLanes(
-                ws.laneAcc.data(), w,
-                ws.laneSpec.data() + j * lanes * bins, lanes, bins);
+            mac(reals(ws.laneAcc.data()), reals(w),
+                reals(ws.laneSpec.data() + j * lanes * bins), lanes,
+                bins);
         }
         for (std::size_t l = 0; l < lanes; ++l) {
             fft::irfftInto(ws.laneAcc.data() + l * bins, lb, ws.outSeg,
@@ -294,6 +303,7 @@ BlockCirculantMatrix::matvecAccFromSpectraBatch(Matrix &y,
                 y.at(i * lb + r, l) += ws.outSeg[r];
         }
     }
+    countSpectraMacs(blockRows_ * blockCols_ * lanes, bins);
 }
 
 void
@@ -426,6 +436,7 @@ BlockCirculantMatrix::matvecTransposeAccFromSpectraBatch(
     ensureSpectra();
 
     ws.laneAcc.resize(lanes * bins);
+    const simd::CplxMacLanesFn mac = simd::plainMacLanesFn();
 
     for (std::size_t j = 0; j < blockCols_; ++j) {
         std::fill(ws.laneAcc.begin(), ws.laneAcc.end(), Complex(0, 0));
@@ -435,9 +446,9 @@ BlockCirculantMatrix::matvecTransposeAccFromSpectraBatch(
             // forward's weight-traffic amortization.
             const Complex *w =
                 spectra_.data() + (i * blockCols_ + j) * bins;
-            accumulatePlainProductLanes(
-                ws.laneAcc.data(), w,
-                ws.laneSpec.data() + i * lanes * bins, lanes, bins);
+            mac(reals(ws.laneAcc.data()), reals(w),
+                reals(ws.laneSpec.data() + i * lanes * bins), lanes,
+                bins);
         }
         for (std::size_t l = 0; l < lanes; ++l) {
             fft::irfftInto(ws.laneAcc.data() + l * bins, lb, ws.outSeg,
@@ -446,6 +457,7 @@ BlockCirculantMatrix::matvecTransposeAccFromSpectraBatch(
                 dx.at(j * lb + c, l) += ws.outSeg[c];
         }
     }
+    countSpectraMacs(blockRows_ * blockCols_ * lanes, bins);
 }
 
 void
@@ -472,6 +484,7 @@ BlockCirculantMatrix::generatorGradAccFromSpectraBatch(
                 "generatorGradAccFromSpectraBatch: gradient spectra "
                 "were built for a different geometry");
 
+    const simd::CplxMacLanesFn mac = simd::conjMacLanesFn();
     for (std::size_t i = 0; i < blockRows_; ++i) {
         const Complex *dyBase =
             wsDy.laneSpec.data() + i * lanes * bins;
@@ -479,16 +492,18 @@ BlockCirculantMatrix::generatorGradAccFromSpectraBatch(
             const Complex *xBase =
                 wsX.laneSpec.data() + j * lanes * bins;
             wsX.acc.assign(bins, Complex(0, 0));
+            // Every lane has its own dY spectrum, so the lane sum is
+            // one single-lane MAC per lane into the shared acc.
             for (std::size_t l = 0; l < lanes; ++l)
-                fft::accumulateConjProduct(wsX.acc.data(),
-                                           dyBase + l * bins,
-                                           xBase + l * bins, bins);
+                mac(reals(wsX.acc.data()), reals(dyBase + l * bins),
+                    reals(xBase + l * bins), 1, bins);
             fft::irfftInto(wsX.acc, lb, wsX.outSeg, wsX.packed);
             Real *gptr = grad.generator(i, j);
             for (std::size_t d = 0; d < lb; ++d)
                 gptr[d] += wsX.outSeg[d];
         }
     }
+    countSpectraMacs(blockRows_ * blockCols_ * lanes, bins);
     grad.invalidateSpectra();
 }
 

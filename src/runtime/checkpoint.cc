@@ -20,12 +20,12 @@ namespace detail
  */
 struct StreamStateAccess
 {
-    static const std::vector<LayerState> &layers(const StreamState &s)
+    static const StackState &layers(const StreamState &s)
     {
         return s.layers_;
     }
 
-    static std::vector<LayerState> &layers(StreamState &s)
+    static StackState &layers(StreamState &s)
     {
         return s.layers_;
     }
@@ -50,6 +50,7 @@ namespace
 
 using detail::fnv1a64;
 using detail::Reader;
+using detail::StackState;
 using detail::StreamStateAccess;
 using detail::Writer;
 
@@ -91,8 +92,9 @@ modelFingerprint(const CompiledModel &model)
         w.bytes(layer.kindName());
         w.size(layer.inputSize());
         w.size(layer.outputSize());
-        LayerState probe;
-        layer.initState(probe);
+        // A stream's state is the layer's one-lane batch state.
+        LayerBatchState probe;
+        layer.initBatchState(probe, 1);
         w.size(probe.h.size());
         w.size(probe.c.size());
     }
@@ -119,9 +121,9 @@ checkpointStream(const CompiledModel &model, const StreamState &state,
     w.u64(modelFingerprint(model));
     w.u64(StreamStateAccess::frames(state));
     w.u32(static_cast<std::uint32_t>(model.numLayers()));
-    for (const LayerState &l : StreamStateAccess::layers(state)) {
-        w.reals(l.h);
-        w.reals(l.c);
+    for (const LayerBatchState &l : StreamStateAccess::layers(state)) {
+        w.reals(l.h.raw());
+        w.reals(l.c.raw());
     }
     w.bytes(aux);
 
@@ -217,31 +219,30 @@ restoreStream(const CompiledModel &model, StreamState &state,
 
     // Decode into a staging area first: a restore either succeeds
     // completely or aborts, never leaving @p state half-overwritten.
-    std::vector<LayerState> staged(layers);
+    StackState staged(layers);
     const Datapath &dp = model.datapath();
     for (std::size_t i = 0; i < layers; ++i) {
-        r.realsInto(staged[i].h, "layer state h");
-        r.realsInto(staged[i].c, "layer state c");
+        LayerBatchState &st = staged[i];
+        model.layer(i).initBatchState(st, 1);
+        const std::size_t wantH = st.h.size();
+        const std::size_t wantC = st.c.size();
+        r.realsInto(st.h.raw(), "layer state h");
+        r.realsInto(st.c.raw(), "layer state c");
         // Defense in depth behind the fingerprint: the committed
         // state's geometry must match what the layer would create,
         // or the kernels' inner loops would index out of bounds.
-        LayerState probe;
-        model.layer(i).initState(probe);
-        if (staged[i].h.size() != probe.h.size() ||
-            staged[i].c.size() != probe.c.size() ||
-            staged[i].h.size() > kMaxStateDim ||
-            staged[i].c.size() > kMaxStateDim)
+        if (st.h.size() != wantH || st.c.size() != wantC ||
+            st.h.size() > kMaxStateDim || st.c.size() > kMaxStateDim)
             ernn_fatal("stream checkpoint layer " << i << " state is "
-                       << staged[i].h.size() << "/"
-                       << staged[i].c.size() << " values, model layer "
-                       "needs " << probe.h.size() << "/"
-                       << probe.c.size());
+                       << st.h.size() << "/" << st.c.size()
+                       << " values, model layer needs " << wantH
+                       << "/" << wantC);
         // Pin restored values to the value grid (identity for a
         // legitimate checkpoint): the integer datapath's LUTs index
         // by grid code, and an off-grid value smuggled past the
         // checksum would silently diverge from the f64 oracle.
-        dp.post(staged[i].h);
-        dp.post(staged[i].c);
+        dp.post(st.h.raw());
+        dp.post(st.c.raw());
     }
 
     std::string auxBytes;

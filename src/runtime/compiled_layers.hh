@@ -75,11 +75,6 @@ class CompiledLstmLayer : public CompiledLayer
     std::string kindName() const override { return "lstm"; }
     std::size_t storedParams() const override;
 
-    void initState(LayerState &state) const override;
-    void initScratch(LayerScratch &scratch) const override;
-    void step(const Vector &x, LayerState &state, Vector &y,
-              LayerScratch &scratch, KernelScratch &kernels,
-              const Datapath &dp) const override;
     void initBatchState(LayerBatchState &state,
                         std::size_t lanes) const override;
     void initBatchScratch(LayerBatchScratch &scratch,
@@ -111,11 +106,6 @@ class CompiledGruLayer : public CompiledLayer
     std::string kindName() const override { return "gru"; }
     std::size_t storedParams() const override;
 
-    void initState(LayerState &state) const override;
-    void initScratch(LayerScratch &scratch) const override;
-    void step(const Vector &x, LayerState &state, Vector &y,
-              LayerScratch &scratch, KernelScratch &kernels,
-              const Datapath &dp) const override;
     void initBatchState(LayerBatchState &state,
                         std::size_t lanes) const override;
     void initBatchScratch(LayerBatchScratch &scratch,

@@ -206,126 +206,6 @@ CompiledLstmLayer::storedParams() const
 }
 
 void
-CompiledLstmLayer::initState(LayerState &state) const
-{
-    state.h.assign(p_.cfg.outputSize(), 0.0);
-    state.c.assign(p_.cfg.hiddenSize, 0.0);
-}
-
-void
-CompiledLstmLayer::initScratch(LayerScratch &s) const
-{
-    const std::size_t h = p_.cfg.hiddenSize;
-    s.g1.assign(h, 0.0);
-    s.g2.assign(h, 0.0);
-    s.g3.assign(h, 0.0);
-    s.g4.assign(h, 0.0);
-    s.t1.assign(h, 0.0);
-    s.t2.assign(h, 0.0);
-    s.t3.assign(h, 0.0);
-}
-
-void
-CompiledLstmLayer::step(const Vector &x, LayerState &state, Vector &y,
-                        LayerScratch &s, KernelScratch &ks,
-                        const Datapath &dp) const
-{
-    // Gate matvec contributions first: i/f/g/o share x (and
-    // y_{t-1}), so the fused CirculantFFT path computes each
-    // operand's segment FFTs once for all four gates (q FFTs
-    // instead of 4q).
-    Vector *gates[4] = {&s.g1, &s.g2, &s.g3, &s.g4};
-    if (!fusedInput_.empty()) {
-        for (Vector *g : gates)
-            std::fill(g->begin(), g->end(), 0.0);
-        circulant::computeSegmentSpectra(
-            x, fusedInput_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 4; ++k)
-            fusedInput_[k]->matvecAccFromSpectra(
-                ks.fft.segSpectra, *gates[k], ks.fft);
-    } else {
-        p_.wix->apply(x, s.g1, ks);
-        dp.post(s.g1);
-        p_.wfx->apply(x, s.g2, ks);
-        dp.post(s.g2);
-        p_.wcx->apply(x, s.g3, ks);
-        dp.post(s.g3);
-        p_.wox->apply(x, s.g4, ks);
-        dp.post(s.g4);
-    }
-    if (!fusedRec_.empty()) {
-        circulant::computeSegmentSpectra(
-            state.h, fusedRec_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 4; ++k)
-            fusedRec_[k]->matvecAccFromSpectra(
-                ks.fft.segSpectra, *gates[k], ks.fft);
-    } else {
-        const LinearKernel *recs[4] = {p_.wir.get(), p_.wfr.get(),
-                                       p_.wcr.get(), p_.wor.get()};
-        for (std::size_t k = 0; k < 4; ++k) {
-            recs[k]->apply(state.h, s.t1, ks);
-            dp.post(s.t1);
-            addInPlace(*gates[k], s.t1);
-        }
-    }
-
-    // Input gate: i = sigma(Wix x + Wir y' + wic.c' + bi).
-    if (p_.cfg.peephole)
-        hadamardAcc(s.g1, p_.wic, state.c);
-    addInPlace(s.g1, p_.bi);
-    dp.post(s.g1);
-    dp.activate(nn::ActKind::Sigmoid, s.g1);
-    dp.post(s.g1);
-
-    // Forget gate.
-    if (p_.cfg.peephole)
-        hadamardAcc(s.g2, p_.wfc, state.c);
-    addInPlace(s.g2, p_.bf);
-    dp.post(s.g2);
-    dp.activate(nn::ActKind::Sigmoid, s.g2);
-    dp.post(s.g2);
-
-    // Cell input (no peephole, Eqn. 1c).
-    addInPlace(s.g3, p_.bc);
-    dp.post(s.g3);
-    dp.activate(p_.cfg.cellInputAct, s.g3);
-    dp.post(s.g3);
-
-    // Cell state: c = f.c' + g.i (Eqn. 1d) into t2.
-    std::fill(s.t2.begin(), s.t2.end(), 0.0);
-    hadamardAcc(s.t2, s.g2, state.c);
-    hadamardAcc(s.t2, s.g3, s.g1);
-    dp.post(s.t2);
-
-    // Output gate (peephole reads the *current* c, Eqn. 1e).
-    if (p_.cfg.peephole)
-        hadamardAcc(s.g4, p_.woc, s.t2);
-    addInPlace(s.g4, p_.bo);
-    dp.post(s.g4);
-    dp.activate(nn::ActKind::Sigmoid, s.g4);
-    dp.post(s.g4);
-
-    // Cell output m = o . h(c) (Eqn. 1f) into t3.
-    std::copy(s.t2.begin(), s.t2.end(), s.t3.begin());
-    dp.activate(p_.cfg.outputAct, s.t3);
-    dp.post(s.t3);
-    hadamardInPlace(s.t3, s.g4);
-    dp.post(s.t3);
-
-    // Projected output (Eqn. 1g).
-    if (p_.wym) {
-        p_.wym->apply(s.t3, y, ks);
-        dp.post(y);
-    } else {
-        std::copy(s.t3.begin(), s.t3.end(), y.begin());
-    }
-
-    // Commit state: c_t and y_t become the next step's history.
-    std::swap(state.c, s.t2);
-    std::copy(y.begin(), y.end(), state.h.begin());
-}
-
-void
 CompiledLstmLayer::initBatchState(LayerBatchState &state,
                                   std::size_t lanes) const
 {
@@ -353,11 +233,11 @@ CompiledLstmLayer::stepBatch(const Matrix &x, LayerBatchState &state,
                              KernelScratch &ks,
                              const Datapath &dp) const
 {
-    // The batched mirror of step(): the same operations in the same
-    // order, over feature x lanes matrices instead of vectors, so
-    // every lane column computes the exact bits the solo path would.
-    // Gate contributions first; each kernel call is one GEMM-shaped
-    // pass over the weights shared by every lane.
+    // Gate matvec contributions first: i/f/g/o share x (and
+    // y_{t-1}), so the fused CirculantFFT path computes each
+    // operand's segment FFTs once for all four gates (q FFTs per
+    // lane instead of 4q). Each kernel call is one GEMM-shaped pass
+    // over the weights shared by every lane.
     Matrix *gates[4] = {&s.g1, &s.g2, &s.g3, &s.g4};
     if (!fusedInput_.empty()) {
         for (Matrix *g : gates)
@@ -507,101 +387,6 @@ CompiledGruLayer::storedParams() const
 }
 
 void
-CompiledGruLayer::initState(LayerState &state) const
-{
-    state.h.clear(); // the GRU's output *is* its cell state
-    state.c.assign(p_.cfg.hiddenSize, 0.0);
-}
-
-void
-CompiledGruLayer::initScratch(LayerScratch &s) const
-{
-    const std::size_t h = p_.cfg.hiddenSize;
-    s.g1.assign(h, 0.0);
-    s.g2.assign(h, 0.0);
-    s.g3.assign(h, 0.0);
-    s.g4.clear();
-    s.t1.assign(h, 0.0);
-    s.t2.assign(h, 0.0);
-    s.t3.assign(h, 0.0);
-}
-
-void
-CompiledGruLayer::step(const Vector &x, LayerState &state, Vector &y,
-                       LayerScratch &s, KernelScratch &ks,
-                       const Datapath &dp) const
-{
-    const std::size_t h = p_.cfg.hiddenSize;
-
-    // Gate matvec contributions: z/r/c~ share x, z/r share the
-    // previous state, so the fused CirculantFFT path computes
-    // each shared operand's segment FFTs once.
-    Vector *gates[3] = {&s.g1, &s.g2, &s.g3};
-    if (!fusedInput_.empty()) {
-        for (Vector *g : gates)
-            std::fill(g->begin(), g->end(), 0.0);
-        circulant::computeSegmentSpectra(
-            x, fusedInput_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 3; ++k)
-            fusedInput_[k]->matvecAccFromSpectra(
-                ks.fft.segSpectra, *gates[k], ks.fft);
-    } else {
-        p_.wzx->apply(x, s.g1, ks);
-        dp.post(s.g1);
-        p_.wrx->apply(x, s.g2, ks);
-        dp.post(s.g2);
-        p_.wcx->apply(x, s.g3, ks);
-        dp.post(s.g3);
-    }
-    if (!fusedRec_.empty()) {
-        circulant::computeSegmentSpectra(
-            state.c, fusedRec_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 2; ++k)
-            fusedRec_[k]->matvecAccFromSpectra(
-                ks.fft.segSpectra, *gates[k], ks.fft);
-    } else {
-        p_.wzc->apply(state.c, s.t1, ks);
-        dp.post(s.t1);
-        addInPlace(s.g1, s.t1);
-        p_.wrc->apply(state.c, s.t1, ks);
-        dp.post(s.t1);
-        addInPlace(s.g2, s.t1);
-    }
-
-    // Update gate (Eqn. 2a).
-    addInPlace(s.g1, p_.bz);
-    dp.post(s.g1);
-    dp.activate(nn::ActKind::Sigmoid, s.g1);
-    dp.post(s.g1);
-
-    // Reset gate (Eqn. 2b).
-    addInPlace(s.g2, p_.br);
-    dp.post(s.g2);
-    dp.activate(nn::ActKind::Sigmoid, s.g2);
-    dp.post(s.g2);
-
-    // Candidate from the reset-gated history (Eqn. 2c).
-    std::fill(s.t2.begin(), s.t2.end(), 0.0);
-    hadamardAcc(s.t2, s.g2, state.c);
-    dp.post(s.t2);
-    p_.wcc->apply(s.t2, s.t1, ks);
-    dp.post(s.t1);
-    addInPlace(s.g3, s.t1);
-    addInPlace(s.g3, p_.bc);
-    dp.post(s.g3);
-    dp.activate(p_.cfg.candidateAct, s.g3);
-    dp.post(s.g3);
-
-    // State blend (Eqn. 2d): c = (1-z).c' + z.c~ into t3.
-    for (std::size_t k = 0; k < h; ++k)
-        s.t3[k] = (1.0 - s.g1[k]) * state.c[k] + s.g1[k] * s.g3[k];
-    dp.post(s.t3);
-
-    std::copy(s.t3.begin(), s.t3.end(), y.begin());
-    std::swap(state.c, s.t3);
-}
-
-void
 CompiledGruLayer::initBatchState(LayerBatchState &state,
                                  std::size_t lanes) const
 {
@@ -628,8 +413,10 @@ CompiledGruLayer::stepBatch(const Matrix &x, LayerBatchState &state,
                             Matrix &y, LayerBatchScratch &s,
                             KernelScratch &ks, const Datapath &dp) const
 {
-    // Batched mirror of step(): identical operation order per lane
-    // column, GEMM-shaped kernel calls across lanes.
+    // Gate matvec contributions: z/r/c~ share x, z/r share the
+    // previous state, so the fused CirculantFFT path computes each
+    // shared operand's segment FFTs once; every kernel call is
+    // GEMM-shaped across lanes.
     Matrix *gates[3] = {&s.g1, &s.g2, &s.g3};
     if (!fusedInput_.empty()) {
         for (Matrix *g : gates)

@@ -8,9 +8,11 @@
  * rounded to their per-tensor static scaling and activations replaced
  * by the Phase II piecewise-linear tables.
  *
- * A CompiledModel is shared, read-only state. All mutable buffers
- * (recurrent state, gate scratch, FFT workspaces) belong to the
- * InferenceSession objects it creates.
+ * A CompiledModel is shared, read-only state. Each layer has one
+ * step semantics, the layer's stepBatch() over feature x lanes
+ * matrices; a stream is simply one lane of it. All mutable buffers
+ * (gate scratch, FFT workspaces, lane pools) belong to the sessions
+ * it creates, and recurrent state to their StreamStates and pools.
  *
  * A compiled model is also *portable*: runtime/artifact.hh persists
  * it to a versioned, checksummed binary file and loads it back
@@ -85,25 +87,10 @@ struct Datapath
     void activate(nn::ActKind kind, Vector &v) const;
 };
 
-/** Per-layer recurrent state: owned by streams, sized by the layer. */
-struct LayerState
-{
-    Vector h; //!< previous output y_{t-1} (empty when unused)
-    Vector c; //!< cell state c_{t-1}
-};
-
-/** Per-layer preallocated step scratch: owned by sessions. */
-struct LayerScratch
-{
-    Vector g1, g2, g3, g4; //!< gate buffers
-    Vector t1, t2, t3;     //!< cell/candidate temporaries
-};
-
 /**
  * Batch-major recurrent state of one layer: feature x lanes matrices,
- * one utterance lane per column. Owned by the session's run() pool;
- * lane l's column holds exactly the bits the per-utterance LayerState
- * would hold after the same frames.
+ * one utterance lane per column. A stream (StreamState) holds one
+ * column; run() and ContinuousBatch pools hold one per live lane.
  */
 struct LayerBatchState
 {
@@ -111,7 +98,7 @@ struct LayerBatchState
     Matrix c; //!< cell states c_{t-1}
 };
 
-/** Batch-major per-layer step scratch (see LayerScratch). */
+/** Batch-major per-layer step scratch, owned by the lane pools. */
 struct LayerBatchScratch
 {
     Matrix g1, g2, g3, g4; //!< gate buffers
@@ -129,21 +116,6 @@ class CompiledLayer
     virtual std::string kindName() const = 0;
     virtual std::size_t storedParams() const = 0;
 
-    /** Size (and zero) a state object for this layer. */
-    virtual void initState(LayerState &state) const = 0;
-
-    /** Presize a scratch object for this layer. */
-    virtual void initScratch(LayerScratch &scratch) const = 0;
-
-    /**
-     * One recurrent step: read @p x and @p state (t-1), write the
-     * layer output into the presized @p y, and advance @p state.
-     * Must not allocate once scratch and state are warm.
-     */
-    virtual void step(const Vector &x, LayerState &state, Vector &y,
-                      LayerScratch &scratch, KernelScratch &kernels,
-                      const Datapath &dp) const = 0;
-
     /** Size (and zero) batch-major state for @p lanes utterances.
      *  Reuses the matrices' backing storage across calls. */
     virtual void initBatchState(LayerBatchState &state,
@@ -158,9 +130,10 @@ class CompiledLayer
      * (inputSize x lanes) matrix @p x and @p state (t-1), write the
      * layer outputs into the presized (outputSize x lanes) @p y, and
      * advance @p state. Each kernel runs one GEMM-shaped batched call
-     * instead of a matvec per lane; column l of every result is
-     * bit-identical to step() on lane l alone. Must not allocate once
-     * scratch and state are warm.
+     * instead of a matvec per lane, and column l of every result
+     * depends on column l alone, in one fixed arithmetic order — so
+     * a lane computes the same bits at any lane count. Must not
+     * allocate once scratch and state are warm.
      */
     virtual void stepBatch(const Matrix &x, LayerBatchState &state,
                            Matrix &y, LayerBatchScratch &scratch,

@@ -1,6 +1,5 @@
 #include "runtime/continuous_batch.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "base/logging.hh"
@@ -19,62 +18,10 @@ ContinuousBatch::ContinuousBatch(const CompiledModel &model,
         kernels_.pool = pool_.get();
     }
 
-    const std::size_t n = model.numLayers();
-    state_.resize(n);
-    scratch_.resize(n);
-    out_.resize(n);
-    setLaneCount(0);
+    lanePool_.reset(model, 0);
     laneLogits_.assign(model.numClasses(), 0.0);
     if (model.datapath().integerDatapath)
         kernels_.valueFormat = model.datapath().valueFormat;
-}
-
-void
-ContinuousBatch::setLaneCount(std::size_t lanes)
-{
-    const std::size_t n = model_.numLayers();
-    for (std::size_t i = 0; i < n; ++i) {
-        LayerBatchState &st = state_[i];
-        if (st.h.rows() == 0 && st.c.rows() == 0) {
-            // First sizing: let the layer pick its state geometry.
-            model_.layer(i).initBatchState(st, lanes);
-        } else {
-            // Live pool: recurrent state must survive, so grow with
-            // zeroed columns (start-of-utterance state for the new
-            // lane) or shrink to the surviving prefix.
-            for (Matrix *m : {&st.h, &st.c})
-                if (m->rows() > 0) {
-                    if (lanes > m->cols())
-                        m->growCols(lanes);
-                    else
-                        m->shrinkCols(lanes);
-                }
-        }
-        // Scratch and inter-layer buffers are rewritten every step;
-        // a zero-filling reshape is enough.
-        model_.layer(i).initBatchScratch(scratch_[i], lanes);
-        out_[i].reshape(model_.layer(i).outputSize(), lanes);
-    }
-    in_.reshape(model_.inputSize(), lanes);
-    logits_.reshape(model_.numClasses(), lanes);
-    poolHighWater_ = std::max(poolHighWater_, lanes);
-}
-
-void
-ContinuousBatch::releasePool()
-{
-    state_.clear();
-    scratch_.clear();
-    out_.clear();
-    in_ = Matrix();
-    logits_ = Matrix();
-    kernels_.releaseLaneStaging();
-    const std::size_t n = model_.numLayers();
-    state_.resize(n);
-    scratch_.resize(n);
-    out_.resize(n);
-    setLaneCount(0);
-    poolHighWater_ = 0;
 }
 
 void
@@ -87,7 +34,8 @@ ContinuousBatch::admit(const nn::Sequence *frames, FrameSink onFrame,
             onDone();
         return;
     }
-    setLaneCount(lanes_.size() + 1);
+    // The new lane joins at the start-of-utterance (zero) state.
+    lanePool_.resize(model_, lanes_.size() + 1);
     lanes_.push_back(
         Lane{frames, 0, std::move(onFrame), std::move(onDone)});
 }
@@ -97,13 +45,12 @@ ContinuousBatch::stepAll()
 {
     if (lanes_.empty())
         return;
-    const Datapath &dp = model_.datapath();
     const std::size_t in_dim = model_.inputSize();
     const std::size_t classes = model_.numClasses();
     const std::size_t active = lanes_.size();
+    detail::FrameBuffers &buf = lanePool_.buf;
 
-    // Gather this step's frames — pinned to the value grid exactly
-    // as InferenceSession::step() pins its input frame.
+    // Gather this step's frames.
     for (std::size_t l = 0; l < active; ++l) {
         const Lane &lane = lanes_[l];
         const Vector &f = (*lane.frames)[lane.next];
@@ -111,31 +58,15 @@ ContinuousBatch::stepAll()
                     "ContinuousBatch: frame dim " << f.size()
                     << " != input dim " << in_dim);
         for (std::size_t r = 0; r < in_dim; ++r)
-            in_.at(r, l) = f[r];
+            buf.in.at(r, l) = f[r];
     }
-    if (dp.fixedPoint)
-        dp.post(in_.raw());
-
-    // New step: recurrent state is about to change under stable
-    // addresses, so retire any staged input codes.
-    ++kernels_.xqEpoch;
-    const Matrix *cur = &in_;
-    for (std::size_t i = 0; i < model_.numLayers(); ++i) {
-        model_.layer(i).stepBatch(*cur, state_[i], out_[i],
-                                  scratch_[i], kernels_, dp);
-        cur = &out_[i];
-    }
-
-    model_.classifier().applyBatch(*cur, logits_, kernels_);
-    dp.post(logits_.raw());
-    addBiasRows(logits_, model_.classifierBias());
-    dp.post(logits_.raw());
+    detail::stepFrame(model_, lanePool_.state, buf, kernels_);
 
     // Deliver lane columns.
     for (std::size_t l = 0; l < active; ++l) {
         Lane &lane = lanes_[l];
         for (std::size_t r = 0; r < classes; ++r)
-            laneLogits_[r] = logits_.at(r, l);
+            laneLogits_[r] = buf.logits.at(r, l);
         if (lane.onFrame)
             lane.onFrame(lane.next, laneLogits_,
                          static_cast<int>(argmax(laneLogits_)));
@@ -154,7 +85,7 @@ ContinuousBatch::stepAll()
         }
         finished_.push_back(std::move(lanes_[l].onDone));
         if (l != live - 1) {
-            for (LayerBatchState &st : state_)
+            for (LayerBatchState &st : lanePool_.state)
                 for (Matrix *m : {&st.h, &st.c})
                     if (m->rows() > 0)
                         m->swapCols(l, live - 1);
@@ -165,12 +96,12 @@ ContinuousBatch::stepAll()
         // Do not advance l: the swapped-in lane needs examining.
     }
     if (live != active)
-        setLaneCount(live);
+        lanePool_.resize(model_, live);
 
     // One oversized burst must not pin lane-pool memory for the
     // engine's lifetime (mirrors InferenceSession's high-water cap).
-    if (lanes_.empty() && poolHighWater_ > kMaxPooledLanes)
-        releasePool();
+    if (lanes_.empty() && lanePool_.highWater > kMaxPooledLanes)
+        lanePool_.release(kernels_);
 
     // Completion callbacks run last, with the pool consistent.
     for (DoneSink &done : finished_)

@@ -17,11 +17,12 @@
  * one step.
  *
  * Column independence is what makes this sound: every batched kernel
- * computes column l from column l alone, in the exact arithmetic
- * order of the per-utterance path, so each lane's logits are
- * bit-identical to running its utterance alone through
- * InferenceSession::step() — regardless of what was admitted or
- * retired around it. The engine is single-threaded, like
+ * computes column l from column l alone, in one arithmetic order at
+ * any lane count, and stepAll() advances the pool through the same
+ * per-frame function as InferenceSession (runtime/stack_frame.hh) —
+ * so each lane's logits are bit-identical to streaming its utterance
+ * alone through InferenceSession::step(), regardless of what was
+ * admitted or retired around it. The engine is single-threaded, like
  * InferenceSession: one scheduler thread drives admit()/stepAll().
  *
  * Concurrency contract: the engine holds no locks of its own — it is
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "runtime/compiled_model.hh"
+#include "runtime/stack_frame.hh"
 #include "runtime/thread_pool.hh"
 
 namespace ernn::runtime
@@ -109,27 +111,13 @@ class ContinuousBatch
         DoneSink onDone;
     };
 
-    /** Re-dimension the pool to @p lanes columns. Recurrent state
-     *  columns are preserved (grown with zeroed new columns /
-     *  shrunk); scratch and I/O matrices are rewritten every step
-     *  and simply reshaped. */
-    void setLaneCount(std::size_t lanes);
-
-    /** Drop the pool's backing storage (high-water cap). */
-    void releasePool();
-
     const CompiledModel &model_;
     std::unique_ptr<ThreadPool> pool_; //!< compute pool (null = serial)
     KernelScratch kernels_;
-    std::vector<LayerBatchState> state_;
-    std::vector<LayerBatchScratch> scratch_;
-    std::vector<Matrix> out_; //!< inter-layer activation matrices
-    Matrix in_;               //!< gathered input frames
-    Matrix logits_;           //!< classifier output
+    detail::LanePool lanePool_;
     Vector laneLogits_;       //!< per-lane delivery staging
     std::vector<Lane> lanes_; //!< lane l <-> column l
     std::vector<DoneSink> finished_; //!< staged completion callbacks
-    std::size_t poolHighWater_ = 0;
 };
 
 } // namespace ernn::runtime

@@ -12,8 +12,8 @@ void
 StreamState::reset()
 {
     for (auto &l : layers_) {
-        std::fill(l.h.begin(), l.h.end(), 0.0);
-        std::fill(l.c.begin(), l.c.end(), 0.0);
+        l.h.setZero();
+        l.c.setZero();
     }
     frames_ = 0;
 }
@@ -29,15 +29,7 @@ InferenceSession::InferenceSession(const CompiledModel &model,
         kernels_.pool = pool_.get();
     }
 
-    const std::size_t n = model.numLayers();
-    layerScratch_.resize(n);
-    layerOut_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        model.layer(i).initScratch(layerScratch_[i]);
-        layerOut_[i].assign(model.layer(i).outputSize(), 0.0);
-    }
-    logits_.assign(model.numClasses(), 0.0);
-    frameQ_.assign(model.inputSize(), 0.0);
+    frame_.reshape(model, 1);
     // Arm the scratch for the native integer datapath: FixedPoint
     // kernels see the value grid their inputs live on and requantize
     // onto it in integer arithmetic. Left unarmed (emulation mode,
@@ -52,7 +44,7 @@ InferenceSession::newStream() const
     StreamState state;
     state.layers_.resize(model_.numLayers());
     for (std::size_t i = 0; i < model_.numLayers(); ++i)
-        model_.layer(i).initState(state.layers_[i]);
+        model_.layer(i).initBatchState(state.layers_[i], 1);
     state.model_ = fingerprint_;
     return state;
 }
@@ -71,91 +63,11 @@ InferenceSession::step(StreamState &state, const Vector &frame)
                 "step: frame dim " << frame.size() << " != input dim "
                 << model_.inputSize());
 
-    const Datapath &dp = model_.datapath();
-    // New step: recurrent state is about to change under stable
-    // addresses, so retire any staged input codes.
-    ++kernels_.xqEpoch;
-    const Vector *cur = &frame;
-    if (dp.fixedPoint) {
-        // The deployed accelerator consumes fixed-point features
-        // (quant::quantizeDataset is the training-side analogue):
-        // pin the incoming frame to the value grid so every kernel
-        // input — not just recurrent state — lives on it. Applied in
-        // native and emulation modes alike; the shared grid is what
-        // makes the integer MACs exact.
-        std::copy(frame.begin(), frame.end(), frameQ_.begin());
-        dp.post(frameQ_);
-        cur = &frameQ_;
-    }
-    for (std::size_t i = 0; i < model_.numLayers(); ++i) {
-        model_.layer(i).step(*cur, state.layers_[i], layerOut_[i],
-                             layerScratch_[i], kernels_, dp);
-        cur = &layerOut_[i];
-    }
-
-    model_.classifier().apply(*cur, logits_, kernels_);
-    dp.post(logits_);
-    addInPlace(logits_, model_.classifierBias());
-    dp.post(logits_);
-
+    // One lane: the input column is the frame itself.
+    std::copy(frame.begin(), frame.end(), frame_.in.raw().begin());
+    detail::stepFrame(model_, state.layers_, frame_, kernels_);
     ++state.frames_;
-    return logits_;
-}
-
-void
-InferenceSession::preparePool(std::size_t lanes)
-{
-    const std::size_t n = model_.numLayers();
-    batchState_.resize(n);
-    batchScratch_.resize(n);
-    batchOut_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        model_.layer(i).initBatchState(batchState_[i], lanes);
-        model_.layer(i).initBatchScratch(batchScratch_[i], lanes);
-        batchOut_[i].reshape(model_.layer(i).outputSize(), lanes);
-    }
-    batchIn_.reshape(model_.inputSize(), lanes);
-    batchLogits_.reshape(model_.numClasses(), lanes);
-    poolHighWater_ = std::max(poolHighWater_, lanes);
-}
-
-void
-InferenceSession::shrinkPool(std::size_t lanes)
-{
-    // Recurrent state survives retirement (shrinkCols repacks the
-    // leading lanes); scratch and inter-layer buffers are rewritten
-    // every step, so a zero-filling reshape is enough.
-    for (std::size_t i = 0; i < batchState_.size(); ++i) {
-        LayerBatchState &st = batchState_[i];
-        if (st.h.rows() > 0)
-            st.h.shrinkCols(lanes);
-        if (st.c.rows() > 0)
-            st.c.shrinkCols(lanes);
-        LayerBatchScratch &s = batchScratch_[i];
-        for (Matrix *m : {&s.g1, &s.g2, &s.g3, &s.g4, &s.t1, &s.t2,
-                          &s.t3})
-            if (m->rows() > 0)
-                m->reshape(m->rows(), lanes);
-        batchOut_[i].reshape(batchOut_[i].rows(), lanes);
-    }
-    batchIn_.reshape(batchIn_.rows(), lanes);
-    batchLogits_.reshape(batchLogits_.rows(), lanes);
-}
-
-void
-InferenceSession::releasePool()
-{
-    // Destroying the pooled matrices releases their backing storage;
-    // the vectors themselves are tiny and regrown by preparePool().
-    batchState_.clear();
-    batchScratch_.clear();
-    batchOut_.clear();
-    batchIn_ = Matrix();
-    batchLogits_ = Matrix();
-    // The kernel scratch holds lane-proportional staging of its own
-    // (int16 transpose, per-lane FFT spectra); drop that too.
-    kernels_.releaseLaneStaging();
-    poolHighWater_ = 0;
+    return frame_.logits.raw();
 }
 
 BatchResult
@@ -193,9 +105,9 @@ InferenceSession::run(const std::vector<const nn::Sequence *> &batch)
     std::size_t active = laneOrder_.size();
     if (active == 0)
         return out;
-    preparePool(active);
+    lanePool_.reset(model_, active);
+    detail::FrameBuffers &buf = lanePool_.buf;
 
-    const Datapath &dp = model_.datapath();
     for (std::size_t t = 0; active > 0; ++t) {
         // Retire lanes whose utterance ended.
         std::size_t still = active;
@@ -205,38 +117,22 @@ InferenceSession::run(const std::vector<const nn::Sequence *> &batch)
         if (still == 0)
             break;
         if (still != active) {
-            shrinkPool(still);
+            // Recurrent state survives retirement: the leading lanes
+            // are repacked in place.
+            lanePool_.resize(model_, still);
             active = still;
         }
 
-        // Gather this step's frames into the input matrix — and pin
-        // them to the value grid, exactly as step() does via frameQ_.
+        // Gather this step's frames into the input matrix.
         for (std::size_t l = 0; l < active; ++l) {
             const Vector &f = (*batch[laneOrder_[l]])[t];
             ernn_assert(f.size() == in_dim,
                         "run: frame dim " << f.size()
                         << " != input dim " << in_dim);
             for (std::size_t r = 0; r < in_dim; ++r)
-                batchIn_.at(r, l) = f[r];
+                buf.in.at(r, l) = f[r];
         }
-        if (dp.fixedPoint)
-            dp.post(batchIn_.raw());
-
-        // New step: recurrent state is about to change under stable
-        // addresses, so retire any staged input codes.
-        ++kernels_.xqEpoch;
-        const Matrix *cur = &batchIn_;
-        for (std::size_t i = 0; i < model_.numLayers(); ++i) {
-            model_.layer(i).stepBatch(*cur, batchState_[i],
-                                      batchOut_[i], batchScratch_[i],
-                                      kernels_, dp);
-            cur = &batchOut_[i];
-        }
-
-        model_.classifier().applyBatch(*cur, batchLogits_, kernels_);
-        dp.post(batchLogits_.raw());
-        addBiasRows(batchLogits_, model_.classifierBias());
-        dp.post(batchLogits_.raw());
+        detail::stepFrame(model_, lanePool_.state, buf, kernels_);
 
         // Scatter lane columns into the pre-sized per-utterance
         // results.
@@ -244,7 +140,7 @@ InferenceSession::run(const std::vector<const nn::Sequence *> &batch)
             const std::size_t u = laneOrder_[l];
             Vector &dst = out.logits[u][t];
             for (std::size_t r = 0; r < classes; ++r)
-                dst[r] = batchLogits_.at(r, l);
+                dst[r] = buf.logits.at(r, l);
             out.predictions[u][t] = static_cast<int>(argmax(dst));
         }
     }
@@ -252,8 +148,8 @@ InferenceSession::run(const std::vector<const nn::Sequence *> &batch)
     // One oversized batch must not pin lane-pool memory for the
     // session's lifetime: past the high-water cap the pool is
     // released outright and regrown (smaller) by the next run().
-    if (poolHighWater_ > kMaxPooledLanes)
-        releasePool();
+    if (lanePool_.highWater > kMaxPooledLanes)
+        lanePool_.release(kernels_);
     return out;
 }
 

@@ -8,12 +8,15 @@
  * shareable, and the per-frame path performs no heap allocation in
  * the steady state.
  *
- * run() is batch-major: utterances are assigned to lane slots
- * (columns of feature x lanes activation matrices) and advanced in
- * frame-lockstep, so every weight tensor streams through the cache
- * once per time step for the whole batch — one GEMM-shaped kernel
- * call per gate instead of a memory-bound matvec per lane. Lane
- * columns are bit-identical to the per-utterance step() path.
+ * There is one datapath: run() assigns utterances to lane slots
+ * (columns of feature x lanes activation matrices) and advances them
+ * in frame-lockstep, so every weight tensor streams through the
+ * cache once per time step for the whole batch — one GEMM-shaped
+ * kernel call per gate instead of a memory-bound matvec per lane —
+ * and step() is the same batched path at one lane, over the
+ * stream's one-column state. A lane's logits are therefore the same
+ * bits whether its utterance is streamed, batched, or continuously
+ * batched (runtime/stack_frame.hh holds the shared per-frame order).
  *
  * Concurrency contract: sessions and StreamStates are deliberately
  * lock-free single-driver objects — all cross-thread discipline
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "runtime/compiled_model.hh"
+#include "runtime/stack_frame.hh"
 #include "runtime/thread_pool.hh"
 
 namespace ernn::runtime
@@ -72,7 +76,7 @@ class StreamState
     friend class InferenceSession;
     /** Checkpoint/restore (runtime/checkpoint.cc). */
     friend struct detail::StreamStateAccess;
-    std::vector<LayerState> layers_;
+    detail::StackState layers_; //!< one-column state per layer
     std::size_t frames_ = 0;
     std::uint64_t model_ = 0; //!< modelFingerprint() stamp
 };
@@ -134,7 +138,7 @@ class InferenceSession
      * kernel call per weight tensor per time step. Lanes are ordered
      * longest-utterance-first so ragged batches retire lanes from
      * the tail (a pure shrink, no shuffling); results are
-     * bit-identical to running each utterance alone through step().
+     * bit-identical to streaming each utterance through step().
      */
     BatchResult run(const std::vector<const nn::Sequence *> &batch);
     BatchResult run(const std::vector<nn::Sequence> &batch);
@@ -145,16 +149,6 @@ class InferenceSession
     /// @}
 
   private:
-    /** Size the batch-major pool for @p lanes utterance lanes. */
-    void preparePool(std::size_t lanes);
-
-    /** Retire trailing lanes: shrink every pooled matrix to
-     *  @p lanes columns, preserving surviving recurrent state. */
-    void shrinkPool(std::size_t lanes);
-
-    /** Drop the pool's backing storage (high-water cap). */
-    void releasePool();
-
     const CompiledModel &model_;
     std::uint64_t fingerprint_; //!< modelFingerprint(model_), cached
 
@@ -164,20 +158,12 @@ class InferenceSession
     std::unique_ptr<ThreadPool> pool_;
 
     KernelScratch kernels_;
-    std::vector<LayerScratch> layerScratch_;
-    std::vector<Vector> layerOut_; //!< inter-layer activations
-    Vector logits_;
-    Vector frameQ_; //!< value-grid copy of the input frame (fixed point)
+    detail::FrameBuffers frame_; //!< step()'s one-lane buffers
 
-    /// @{ Batch-major lane pool, reused across run() calls (capped at
-    /// kMaxPooledLanes; see releasePool()).
-    std::vector<LayerBatchState> batchState_;
-    std::vector<LayerBatchScratch> batchScratch_;
-    std::vector<Matrix> batchOut_; //!< inter-layer activation matrices
-    Matrix batchIn_;               //!< gathered input frames
-    Matrix batchLogits_;           //!< classifier output
-    std::vector<std::size_t> laneOrder_; //!< lane -> utterance index
-    std::size_t poolHighWater_ = 0; //!< lanes allocated since release
+    /// @{ run()'s lane pool, reused across calls (capped at
+    /// kMaxPooledLanes) and its lane -> utterance map.
+    detail::LanePool lanePool_;
+    std::vector<std::size_t> laneOrder_;
     /// @}
 };
 

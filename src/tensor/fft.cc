@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "base/logging.hh"
-#include "tensor/simd.hh"
 
 namespace ernn::fft
 {
@@ -418,38 +417,6 @@ accumulateConjProduct(CVector &acc, const Complex *w, const CVector &x)
 
     if (OpCount::enabled())
         OpCount::addEltwiseMults(2 + 4 * (m - 1));
-}
-
-void
-accumulateConjProduct(Complex *acc, const Complex *w, const Complex *x,
-                      std::size_t bins)
-{
-    ernn_assert(bins >= 2, "accumulateConjProduct: too few bins");
-    // std::complex<Real> is layout-compatible with Real[2], so the
-    // SIMD core works on the raw interleaved (re, im) storage. Every
-    // level is bit-identical to the scalar oracle (see simd.hh).
-    simd::conjMacLanesFn()(reinterpret_cast<Real *>(acc),
-                           reinterpret_cast<const Real *>(w),
-                           reinterpret_cast<const Real *>(x), 1,
-                           bins);
-
-    if (OpCount::enabled())
-        OpCount::addEltwiseMults(2 + 4 * (bins - 2));
-}
-
-void
-accumulateConjProductLanes(Complex *acc, const Complex *w,
-                           const Complex *x, std::size_t lanes,
-                           std::size_t bins)
-{
-    ernn_assert(bins >= 2, "accumulateConjProductLanes: too few bins");
-    simd::conjMacLanesFn()(reinterpret_cast<Real *>(acc),
-                           reinterpret_cast<const Real *>(w),
-                           reinterpret_cast<const Real *>(x), lanes,
-                           bins);
-
-    if (OpCount::enabled())
-        OpCount::addEltwiseMults(lanes * (2 + 4 * (bins - 2)));
 }
 
 std::uint64_t

@@ -156,22 +156,6 @@ void accumulateConjProduct(CVector &acc, const CVector &w,
 void accumulateConjProduct(CVector &acc, const Complex *w,
                            const CVector &x);
 
-/** All-raw form over @p bins packed bins (flat-workspace hot loop). */
-void accumulateConjProduct(Complex *acc, const Complex *w,
-                           const Complex *x, std::size_t bins);
-
-/**
- * acc += conj(w) ⊙ x for @p lanes lanes at once: @p acc and @p x hold
- * lane-contiguous [lane][bin] runs of @p bins packed bins each, and
- * @p w is one generator spectrum shared by every lane. Per lane this
- * runs exactly accumulateConjProduct, in ascending lane order — the
- * batched matvec stays bit-identical per lane while the shared @p w
- * and the contiguous streams keep the hot loop in cache.
- */
-void accumulateConjProductLanes(Complex *acc, const Complex *w,
-                                const Complex *x, std::size_t lanes,
-                                std::size_t bins);
-
 /**
  * Number of real multiplications one complex FFT of size n performs
  * under the trivial-twiddle convention implemented here (analytic

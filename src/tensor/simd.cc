@@ -653,8 +653,8 @@ namespace
  * scalar's one-mul-one-add chain per component.
  */
 __attribute__((target("avx2"))) void
-conjMacLanesAvx2(Real *acc, const Real *w, const Real *x,
-                 std::size_t lanes, std::size_t bins)
+conjMacLanesAvx2Body(Real *acc, const Real *w, const Real *x,
+                     std::size_t lanes, std::size_t bins)
 {
     const std::size_t m = bins - 1;
     const Real w0 = w[0], wm = w[2 * m];
@@ -691,8 +691,8 @@ conjMacLanesAvx2(Real *acc, const Real *w, const Real *x,
 }
 
 __attribute__((target("avx2"))) void
-plainMacLanesAvx2(Real *acc, const Real *w, const Real *x,
-                  std::size_t lanes, std::size_t bins)
+plainMacLanesAvx2Body(Real *acc, const Real *w, const Real *x,
+                      std::size_t lanes, std::size_t bins)
 {
     const std::size_t m = bins - 1;
     const Real w0 = w[0], wm = w[2 * m];
@@ -724,6 +724,40 @@ plainMacLanesAvx2(Real *acc, const Real *w, const Real *x,
             a[2 * k + 1] += wr * xi + wi * xr;
         }
     }
+}
+
+/**
+ * One lane of block size 8 or below (at most one vector pair) runs
+ * the scalar form: the call is then one dependent load-add-store
+ * through acc, where the vector body ran a one-lane 1024x1024
+ * block-8 matvec 1.2x slower than scalar on an AVX-512 Xeon. The
+ * entry points stay untargeted so that path pays none of the vector
+ * body's prologue. Same bits either way.
+ */
+bool
+scalarIsFaster(std::size_t lanes, std::size_t bins)
+{
+    return lanes == 1 && bins <= 5;
+}
+
+void
+conjMacLanesAvx2(Real *acc, const Real *w, const Real *x,
+                 std::size_t lanes, std::size_t bins)
+{
+    if (scalarIsFaster(lanes, bins))
+        conjMacLanesScalar(acc, w, x, lanes, bins);
+    else
+        conjMacLanesAvx2Body(acc, w, x, lanes, bins);
+}
+
+void
+plainMacLanesAvx2(Real *acc, const Real *w, const Real *x,
+                  std::size_t lanes, std::size_t bins)
+{
+    if (scalarIsFaster(lanes, bins))
+        plainMacLanesScalar(acc, w, x, lanes, bins);
+    else
+        plainMacLanesAvx2Body(acc, w, x, lanes, bins);
 }
 
 } // namespace

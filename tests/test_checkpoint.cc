@@ -365,6 +365,87 @@ TEST(CheckpointDeath, MalformedBlobsDieWithNamedDiagnostics)
     EXPECT_DEATH(describeCheckpoint(good + "x"), "trailing");
 }
 
+// --- golden wire -----------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a 64 over @p bytes (the checkpoint checksum's hash, written
+ *  out here so the golden values do not lean on the codec). */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(Checkpoint, GoldenFingerprintsAndBlobsArePinned)
+{
+    // The stream wire is a compatibility contract: a blob written by
+    // an older build must restore on this one. Pin modelFingerprint
+    // and the bytes of a five-frame checkpoint for a seeded LSTM
+    // (peephole + projection, circulant blocks) and a seeded GRU on
+    // the float and the integer datapath. The values were recorded
+    // from the build whose streams kept one state vector per layer.
+    nn::ModelSpec lstm;
+    lstm.type = nn::ModelType::Lstm;
+    lstm.inputDim = 8;
+    lstm.numClasses = 5;
+    lstm.layerSizes = {16, 16};
+    lstm.blockSizes = {4, 4};
+    lstm.peephole = true;
+    lstm.projectionSize = 8;
+
+    nn::ModelSpec gru;
+    gru.type = nn::ModelType::Gru;
+    gru.inputDim = 8;
+    gru.numClasses = 5;
+    gru.layerSizes = {12, 12};
+    gru.blockSizes = {4, 1};
+
+    struct Golden
+    {
+        const char *name;
+        const nn::ModelSpec *spec;
+        BackendKind kind;
+        std::uint64_t fingerprint;
+        std::uint64_t blob;
+    };
+    const Golden golden[] = {
+        {"lstm/dense", &lstm, BackendKind::Dense,
+         0xa71dea1d30dc4f21ull, 0x191664aa543b84dcull},
+        {"lstm/fixed", &lstm, BackendKind::FixedPoint,
+         0x9b547d8970aef13eull, 0x85621bafd1382a2cull},
+        {"gru/dense", &gru, BackendKind::Dense,
+         0x96a433bdeb469ad7ull, 0x6902e17fa0c251e1ull},
+        {"gru/fixed", &gru, BackendKind::FixedPoint,
+         0x72cb848249858be4ull, 0xdec71ece2a57a11cull},
+    };
+
+    const nn::Sequence xs = randomFrames(5, 8, 611);
+    for (const Golden &g : golden) {
+        const nn::StackedRnn model = buildInit(*g.spec, 610);
+        const CompiledModel compiled = compileAs(model, g.kind);
+        InferenceSession session = compiled.createSession();
+        StreamState state = session.newStream();
+        for (const auto &x : xs)
+            session.step(state, x);
+        const std::string blob =
+            checkpointStream(compiled, state, "golden");
+        EXPECT_EQ(modelFingerprint(compiled), g.fingerprint)
+            << g.name << std::hex << " fingerprint 0x"
+            << modelFingerprint(compiled);
+        EXPECT_EQ(fnv1a(blob), g.blob)
+            << g.name << std::hex << " blob 0x" << fnv1a(blob);
+    }
+}
+
 // --- header introspection and aux payloads --------------------------------------
 
 TEST(Checkpoint, DescribeReportsTheHeader)

@@ -267,6 +267,82 @@ TEST(BlockCirculant, DecouplingFftCallCounts)
     EXPECT_EQ(c.ifftCalls, 3u); // p
 }
 
+TEST(BlockCirculant, BatchedSpectraCoresCountLanesTimesSolo)
+{
+    // The batched spectra cores tally their frequency-domain products
+    // once per call rather than once per block; the totals must still
+    // be exactly lanes x the solo path's, neither dropped nor doubled.
+    const std::size_t lb = 8, rows = 3 * lb, cols = 4 * lb;
+    Rng rng(11);
+    BlockCirculantMatrix w(rows, cols, lb);
+    w.initXavier(rng);
+    w.warmSpectra();
+    BlockCirculantMatrix grad(rows, cols, lb);
+    const Vector x = randomVector(cols, 12);
+    const Vector dy = randomVector(rows, 13);
+    FftWorkspace ws, wsDy;
+
+    fft::OpCounters fwd, bwd, gen;
+    {
+        fft::OpCountScope scope;
+        Vector y(rows, 0.0);
+        w.matvecAcc(x, y, ws);
+        fwd = scope.counters();
+    }
+    {
+        fft::OpCountScope scope;
+        Vector dx(cols, 0.0);
+        w.matvecTransposeAcc(dy, dx);
+        bwd = scope.counters();
+    }
+    {
+        fft::OpCountScope scope;
+        w.generatorGradAcc(x, dy, grad);
+        gen = scope.counters();
+    }
+    ASSERT_GT(fwd.realMults, 0u);
+    ASSERT_GT(fwd.eltwiseMults, 0u);
+
+    for (const std::size_t lanes : {1, 3}) {
+        SCOPED_TRACE(lanes);
+        const Matrix xs = randomMatrix(cols, lanes, 14);
+        const Matrix dys = randomMatrix(rows, lanes, 15);
+        {
+            fft::OpCountScope scope;
+            Matrix y(rows, lanes);
+            computeSegmentSpectraBatch(xs, lb, ws);
+            w.matvecAccFromSpectraBatch(y, ws);
+            const fft::OpCounters c = scope.counters();
+            EXPECT_EQ(c.realMults, lanes * fwd.realMults);
+            EXPECT_EQ(c.cmplxMults, lanes * fwd.cmplxMults);
+            EXPECT_EQ(c.eltwiseMults, lanes * fwd.eltwiseMults);
+            EXPECT_EQ(c.fftCalls, lanes * fwd.fftCalls);
+            EXPECT_EQ(c.ifftCalls, lanes * fwd.ifftCalls);
+        }
+        {
+            fft::OpCountScope scope;
+            Matrix dx(cols, lanes);
+            computeSegmentSpectraBatch(dys, lb, ws);
+            w.matvecTransposeAccFromSpectraBatch(dx, ws);
+            const fft::OpCounters c = scope.counters();
+            EXPECT_EQ(c.eltwiseMults, lanes * bwd.eltwiseMults);
+            EXPECT_EQ(c.fftCalls, lanes * bwd.fftCalls);
+            EXPECT_EQ(c.ifftCalls, lanes * bwd.ifftCalls);
+        }
+        {
+            // The lane sum runs in the frequency domain, so the
+            // inverse transforms stay at one per block.
+            computeSegmentSpectraBatch(xs, lb, ws);
+            computeSegmentSpectraBatch(dys, lb, wsDy);
+            fft::OpCountScope scope;
+            w.generatorGradAccFromSpectraBatch(ws, wsDy, lanes, grad);
+            const fft::OpCounters c = scope.counters();
+            EXPECT_EQ(c.eltwiseMults, lanes * gen.eltwiseMults);
+            EXPECT_EQ(c.ifftCalls, gen.ifftCalls);
+        }
+    }
+}
+
 TEST(BlockCirculant, SpectraCacheInvalidation)
 {
     Rng rng(3);
